@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp docs
+.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp docs perfbench-test
 
 check: fmt vet build test docs
 
@@ -133,6 +133,11 @@ docs:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
+
+# The benchmark harness is its own module (perfbench/go.mod), so the
+# root `go test ./...` never compiles it; vet and test it in place.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the committed perf-trajectory snapshot (best-of-3 over
 # all experiments, the replay speedup, the irregular workloads and the

@@ -469,18 +469,13 @@ func (s *Schedule) Messages() int { return s.s.Messages() }
 func INDIRECT(owner []int) (Format, error) { return dist.NewIndirect(owner) }
 
 // irregularPattern converts rank-1 global-index access lists to the
-// inspector's offset form, validating ranks and index bounds.
+// inspector's offset form, validating ranks and index bounds (the
+// inspector checks the list lengths).
 func irregularPattern(lhs, src *DistArray, writes, reads []int, coeffs []float64) (inspector.Pattern, error) {
 	ldom, sdom := lhs.arr.Domain(), src.arr.Domain()
 	if ldom.Rank() != 1 || sdom.Rank() != 1 {
 		return inspector.Pattern{}, fmt.Errorf("hpf: irregular schedules take rank-1 arrays (have %s rank %d, %s rank %d)",
 			lhs.Name(), ldom.Rank(), src.Name(), sdom.Rank())
-	}
-	if len(writes) != len(reads) {
-		return inspector.Pattern{}, fmt.Errorf("hpf: %d writes vs %d reads", len(writes), len(reads))
-	}
-	if coeffs != nil && len(coeffs) != len(writes) {
-		return inspector.Pattern{}, fmt.Errorf("hpf: %d coefficients for %d accesses", len(coeffs), len(writes))
 	}
 	lt, st := ldom.Dims[0], sdom.Dims[0]
 	pat := inspector.Pattern{

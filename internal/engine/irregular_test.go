@@ -227,11 +227,21 @@ func TestIrregularReplicatedRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := y.NewIrregular(r, inspector.Pattern{Writes: []int32{0}, Reads: []int32{0}}); err == nil || !strings.Contains(err.Error(), inspector.ErrReplicated) {
+		sched, err := y.NewIrregular(r, inspector.Pattern{Writes: []int32{0}, Reads: []int32{0}})
+		if err == nil || !strings.Contains(err.Error(), inspector.ErrReplicated) {
 			t.Fatalf("%s: replicated source accepted: %v", kind, err)
 		}
-		if _, err := r.NewIrregular(y, inspector.Pattern{Writes: []int32{0}, Reads: []int32{0}}); err == nil || !strings.Contains(err.Error(), inspector.ErrReplicated) {
+		// A refused build returns a nil interface, not a typed nil
+		// wrapped in a non-nil Schedule.
+		if sched != nil {
+			t.Fatalf("%s: refused build returned non-nil schedule %#v", kind, sched)
+		}
+		sched, err = r.NewIrregular(y, inspector.Pattern{Writes: []int32{0}, Reads: []int32{0}})
+		if err == nil || !strings.Contains(err.Error(), inspector.ErrReplicated) {
 			t.Fatalf("%s: replicated lhs accepted: %v", kind, err)
+		}
+		if sched != nil {
+			t.Fatalf("%s: refused build returned non-nil schedule %#v", kind, sched)
 		}
 	}
 }

@@ -33,7 +33,8 @@
 // execution, mirroring BuildSchedule/Execute of the sequential
 // runtime. Irregular (indirection-array) statements compile through
 // the inspector–executor kernel of package inspector instead and are
-// lowered here to the same slot/stream machinery (IrregularSchedule).
+// lowered here to the same Schedule: one executor replays both the
+// shift form and the indirect form.
 //
 // A worker that panics (a user Fill function, a broken wire) does not
 // leave its peers deadlocked on the streams: the panic is recovered,

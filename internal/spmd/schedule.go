@@ -38,11 +38,15 @@ type cterm struct {
 	mapf  func(index.Tuple) index.Tuple
 }
 
-// Schedule is a compiled statement lhs(region) = Σ terms: per-worker
-// compute plans over local slots, the per-pair ghost exchange, and
-// the per-worker counter deltas. Execute replays it; the involved
-// arrays must not be remapped between executions (rebuild after
-// REDISTRIBUTE/REALIGN, as with the sequential runtime's schedules).
+// Schedule is a compiled statement: per-worker compute plans over
+// local slots, the per-pair ghost exchange, and the per-worker counter
+// deltas. It has two forms behind one executor. The shift form
+// (BuildSchedule, BuildGeneralSchedule) is lhs(region) = Σ terms; the
+// indirect form (BuildIrregular) is the executor half of the
+// inspector–executor technique, lhs(W(k)) = Σ c_k·src(R(k)). Execute
+// replays it; the involved arrays must not be remapped between
+// executions (rebuild after REDISTRIBUTE/REALIGN, as with the
+// sequential runtime's schedules).
 type Schedule struct {
 	eng        *Engine
 	plans      []*wplan
@@ -57,28 +61,34 @@ type Schedule struct {
 	// per iteration, matching the sequential oracle — only the
 	// machine's WireFrames counter sees the saving.
 	constGhost bool
-	// arrays/gens capture the involved arrays' remap generations at
-	// build time; ExecuteN refuses a stale schedule (its plans index
-	// the pre-remap stores).
+	// arrays holds the lhs followed by the sources; gens captures
+	// their remap generations at build time, and ExecuteN refuses a
+	// stale schedule (its plans index the pre-remap stores).
 	arrays []*Array
 	gens   []int
 }
 
-// wplan is one worker's share of a schedule.
+// wplan is one worker's share of a schedule. Reads refs[j] >= 0 are
+// local slots of a source segment; refs[j] < 0 encode ghost slot
+// -(refs[j]+1). The compute half has one of two shapes:
+//
+//   - shift (writeIx nil): for element i, tmp[i] = Σ_t coeffs[t] ·
+//     ref(i,t) with ref(i,t) read through refs[i*T+t] from srcData[t],
+//     T = len(coeffs);
+//   - indirect: access j adds coeffs[j] · ref(j) into tmp[writeIx[j]],
+//     reading srcData[0].
+//
+// Then lhsData[lhsSlots[i]] = tmp[i] (simultaneous-assignment
+// semantics).
 type wplan struct {
-	// Compute: for element i, tmp[i] = Σ_t coeffs[t] · ref(i,t) where
-	// refs[i*T+t] ≥ 0 indexes srcData[t] (a local read) and refs < 0
-	// encodes ghost slot -(refs+1); then lhsData[lhsSlots[i]] = tmp[i]
-	// (simultaneous-assignment semantics).
 	lhsData  []float64
 	lhsSlots []int32
-	nterms   int
-	coeffs   []float64
 	srcData  [][]float64
+	coeffs   []float64
 	refs     []int32
+	writeIx  []int32
 	ghost    []float64
 	tmp      []float64
-	nGhost   int
 
 	sends []sendPlan
 	recvs []recvPlan
@@ -88,18 +98,80 @@ type wplan struct {
 	remoteRefs int
 }
 
-// sendPlan gathers this worker's owned values for one destination:
-// value i is slabs[i][slots[i]].
+// sendPlan gathers this worker's owned values for one destination: n
+// values, part by part, one part per source array.
 type sendPlan struct {
 	dst   int
-	slabs [][]float64
+	n     int
+	parts []sendPart
+}
+
+// sendPart is one source array's share of a message: values
+// slab[slots[k]] of the sender's segment.
+type sendPart struct {
+	slab  []float64
 	slots []int32
 }
 
-// recvPlan scatters one sender's message into the ghost buffer.
+// recvPlan scatters one sender's message into the ghost buffer; the
+// targets follow the sender's parts in order.
 type recvPlan struct {
 	src     int
 	targets []int32
+}
+
+// newSchedule starts a schedule over lhs and its sources.
+func (e *Engine) newSchedule(lhs *Array, srcs []*Array) *Schedule {
+	return &Schedule{eng: e, plans: make([]*wplan, e.np+1), arrays: append([]*Array{lhs}, srcs...)}
+}
+
+// plan returns worker p's plan, binding p's segments of the lhs and
+// of every source on first use.
+func (s *Schedule) plan(p int) *wplan {
+	if s.plans[p] == nil {
+		wp := &wplan{lhsData: s.arrays[0].lay.stores[p].data, srcData: make([][]float64, len(s.arrays)-1)}
+		for i, a := range s.arrays[1:] {
+			wp.srcData[i] = a.lay.stores[p].data
+		}
+		s.plans[p] = wp
+	}
+	return s.plans[p]
+}
+
+// link adds one ordered pair's exchange: src gathers sp and ships it
+// to sp.dst, which scatters the values into ghost slots targets.
+func (s *Schedule) link(src int, sp sendPlan, targets []int32) {
+	wp := s.plan(src)
+	wp.sends = append(wp.sends, sp)
+	rp := s.plan(sp.dst)
+	rp.recvs = append(rp.recvs, recvPlan{src: src, targets: targets})
+	s.messages++
+}
+
+// finish sizes every worker's ghost and temporary buffers, totals the
+// ghost traffic, captures the remap generations, and marks the
+// statement coalescible when no source is the lhs.
+func (s *Schedule) finish() *Schedule {
+	for _, wp := range s.plans {
+		if wp == nil {
+			continue
+		}
+		n := 0
+		for _, rp := range wp.recvs {
+			n += len(rp.targets)
+		}
+		wp.ghost = make([]float64, n)
+		wp.tmp = make([]float64, len(wp.lhsSlots))
+		s.ghostTotal += n
+	}
+	s.constGhost = true
+	for i, a := range s.arrays {
+		s.gens = append(s.gens, a.gen)
+		if i > 0 && a == s.arrays[0] {
+			s.constGhost = false // statement overwrites its own input
+		}
+	}
+	return s
 }
 
 // ghostKey dedups remote reads per (source array, element, reader),
@@ -111,12 +183,27 @@ type ghostKey struct {
 }
 
 // exchange accumulates one ordered pair's ghost traffic during
-// compilation; sender gather order and receiver scatter order are two
-// views of the same list.
+// compilation, grouped by source array: part i gathers slots[i] of
+// srcs[i] and scatters into targets[i].
 type exchange struct {
-	slabs   [][]float64
-	slots   []int32
-	targets []int32
+	srcs    []*Array
+	slots   [][]int32
+	targets [][]int32
+}
+
+// add appends one ghost element read from src.
+func (ex *exchange) add(src *Array, slot, target int32) {
+	i := 0
+	for i < len(ex.srcs) && ex.srcs[i] != src {
+		i++
+	}
+	if i == len(ex.srcs) {
+		ex.srcs = append(ex.srcs, src)
+		ex.slots = append(ex.slots, nil)
+		ex.targets = append(ex.targets, nil)
+	}
+	ex.slots[i] = append(ex.slots[i], slot)
+	ex.targets[i] = append(ex.targets[i], target)
 }
 
 // BuildSchedule compiles the shift statement lhs(region) = Σ terms.
@@ -164,20 +251,14 @@ func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Sched
 		return nil, fmt.Errorf("spmd: array %s belongs to a different engine", lhs.name)
 	}
 	T := len(terms)
-	plans := make([]*wplan, e.np+1)
-	planOf := func(p int) *wplan {
-		if plans[p] == nil {
-			wp := &wplan{nterms: T, lhsData: lhs.lay.stores[p].data}
-			wp.coeffs = make([]float64, T)
-			wp.srcData = make([][]float64, T)
-			for ti, tm := range terms {
-				wp.coeffs[ti] = tm.coeff
-				wp.srcData[ti] = tm.src.lay.stores[p].data
-			}
-			plans[p] = wp
-		}
-		return plans[p]
+	srcs := make([]*Array, T)
+	coeffs := make([]float64, T)
+	for ti, tm := range terms {
+		srcs[ti] = tm.src
+		coeffs[ti] = tm.coeff
 	}
+	s := e.newSchedule(lhs, srcs)
+	nGhost := make([]int32, e.np+1)
 	seen := map[ghostKey]int32{}
 	pairEx := map[[2]int]*exchange{}
 	ref := make(index.Tuple, lhs.dom.Rank())
@@ -207,7 +288,7 @@ func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Sched
 				return false
 			}
 			for _, w := range writers {
-				wp := planOf(w)
+				wp := s.plan(w)
 				if tm.src.lay.ownedBy(roff, w) {
 					wp.localRefs++
 					wp.refs = append(wp.refs, tm.src.lay.slotOf(w, roff))
@@ -217,25 +298,23 @@ func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Sched
 				key := ghostKey{src: tm.src, off: roff, w: w}
 				g, dup := seen[key]
 				if !dup {
-					g = int32(wp.nGhost)
-					wp.nGhost++
+					g = nGhost[w]
+					nGhost[w]++
 					seen[key] = g
-					s := tm.src.lay.firstOwner(roff)
-					pr := [2]int{s, w}
+					sdr := tm.src.lay.firstOwner(roff)
+					pr := [2]int{sdr, w}
 					ex := pairEx[pr]
 					if ex == nil {
 						ex = &exchange{}
 						pairEx[pr] = ex
 					}
-					ex.slabs = append(ex.slabs, tm.src.lay.stores[s].data)
-					ex.slots = append(ex.slots, tm.src.lay.slotOf(s, roff))
-					ex.targets = append(ex.targets, g)
+					ex.add(tm.src, tm.src.lay.slotOf(sdr, roff), g)
 				}
 				wp.refs = append(wp.refs, -(g + 1))
 			}
 		}
 		for _, w := range writers {
-			wp := planOf(w)
+			wp := s.plan(w)
 			wp.load += T
 			wp.lhsSlots = append(wp.lhsSlots, lhs.lay.slotOf(w, loff))
 		}
@@ -243,17 +322,6 @@ func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Sched
 	})
 	if ferr != nil {
 		return nil, ferr
-	}
-	s := &Schedule{eng: e, plans: plans, messages: len(pairEx), constGhost: true}
-	s.arrays = append(s.arrays, lhs)
-	for _, tm := range terms {
-		s.arrays = append(s.arrays, tm.src)
-		if tm.src == lhs {
-			s.constGhost = false // statement overwrites its own input
-		}
-	}
-	for _, a := range s.arrays {
-		s.gens = append(s.gens, a.gen)
 	}
 	pairs := make([][2]int, 0, len(pairEx))
 	for pr := range pairEx {
@@ -267,20 +335,24 @@ func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Sched
 	})
 	for _, pr := range pairs {
 		ex := pairEx[pr]
-		sp := planOf(pr[0])
-		sp.sends = append(sp.sends, sendPlan{dst: pr[1], slabs: ex.slabs, slots: ex.slots})
-		rp := planOf(pr[1])
-		rp.recvs = append(rp.recvs, recvPlan{src: pr[0], targets: ex.targets})
-	}
-	for _, wp := range plans {
-		if wp == nil {
-			continue
+		sp := sendPlan{dst: pr[1], parts: make([]sendPart, len(ex.srcs))}
+		targets := ex.targets[0]
+		for i, src := range ex.srcs {
+			sp.parts[i] = sendPart{slab: src.lay.stores[pr[0]].data, slots: ex.slots[i]}
+			sp.n += len(ex.slots[i])
+			if i > 0 {
+				targets = append(targets, ex.targets[i]...)
+			}
 		}
-		wp.ghost = make([]float64, wp.nGhost)
-		wp.tmp = make([]float64, len(wp.lhsSlots))
-		s.ghostTotal += wp.nGhost
+		s.link(pr[0], sp, targets)
 	}
-	return s, nil
+	// Every shift-form worker shares the per-term coefficients.
+	for _, wp := range s.plans {
+		if wp != nil {
+			wp.coeffs = coeffs
+		}
+	}
+	return s.finish(), nil
 }
 
 // GhostElements reports the deduplicated ghost traffic per execution.
@@ -341,7 +413,7 @@ func (s *Schedule) ExecuteN(iters int) error {
 			frames = 1
 		}
 		for _, sp := range wp.sends {
-			c.sends = append(c.sends, sendCount{dst: sp.dst, elems: len(sp.slots), msgs: iters, frames: frames})
+			c.sends = append(c.sends, sendCount{dst: sp.dst, elems: sp.n, msgs: iters, frames: frames})
 		}
 		e.flush(p, &c)
 	})
@@ -366,9 +438,11 @@ func (wp *wplan) step(e *Engine, p int, comm bool, tally *phaseTally) {
 	if comm {
 		for i := range wp.sends {
 			sp := &wp.sends[i]
-			buf := make([]float64, len(sp.slots))
-			for k, sl := range sp.slots {
-				buf[k] = sp.slabs[k][sl]
+			buf := make([]float64, 0, sp.n)
+			for _, pt := range sp.parts {
+				for _, sl := range pt.slots {
+					buf = append(buf, pt.slab[sl])
+				}
 			}
 			e.send(p, sp.dst, buf)
 		}
@@ -385,21 +459,37 @@ func (wp *wplan) step(e *Engine, p int, comm bool, tally *phaseTally) {
 			t0 = now
 		}
 	}
-	T := wp.nterms
-	for i := range wp.lhsSlots {
-		base := i * T
-		sum := 0.0
-		for ti := 0; ti < T; ti++ {
-			idx := wp.refs[base+ti]
-			var v float64
-			if idx >= 0 {
-				v = wp.srcData[ti][idx]
-			} else {
-				v = wp.ghost[-idx-1]
+	if wp.writeIx == nil {
+		T := len(wp.coeffs)
+		for i := range wp.lhsSlots {
+			base := i * T
+			sum := 0.0
+			for ti := 0; ti < T; ti++ {
+				idx := wp.refs[base+ti]
+				var v float64
+				if idx >= 0 {
+					v = wp.srcData[ti][idx]
+				} else {
+					v = wp.ghost[-idx-1]
+				}
+				sum += wp.coeffs[ti] * v
 			}
-			sum += wp.coeffs[ti] * v
+			wp.tmp[i] = sum
 		}
-		wp.tmp[i] = sum
+	} else {
+		for i := range wp.tmp {
+			wp.tmp[i] = 0
+		}
+		src := wp.srcData[0]
+		for j, r := range wp.refs {
+			var v float64
+			if r >= 0 {
+				v = src[r]
+			} else {
+				v = wp.ghost[-r-1]
+			}
+			wp.tmp[wp.writeIx[j]] += wp.coeffs[j] * v
+		}
 	}
 	for i, sl := range wp.lhsSlots {
 		wp.lhsData[sl] = wp.tmp[i]

@@ -97,18 +97,30 @@ func TestValuesMatchSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A second source on its own CYCLIC(2) mapping: a pair's
+		// message then carries one part per source array, and the
+		// receiver must scatter it part by part, not in the
+		// interleaved first-need order of the reads.
+		c, err := e.NewArray("C", mapping(t, sys, dom, dist.Cyclic{K: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
 		fill := func(tu index.Tuple) float64 { return float64(tu[0]*31 + tu[1]*7) }
+		fillC := func(tu index.Tuple) float64 { return float64(tu[0]*tu[1]%13) - 6 }
 		a.Fill(fill)
+		c.Fill(fillC)
 		interior := index.Standard(2, n-1, 2, n-1)
-		terms := []Term{Ref(a, 0.25, -1, 0), Ref(a, 0.25, 1, 0), Ref(a, 0.25, 0, -1), Ref(a, 0.25, 0, 1)}
+		terms := []Term{Ref(a, 0.25, -1, 0), Ref(c, 2, 1, 0), Ref(a, 0.25, 1, 0), Ref(a, 0.25, 0, -1), Ref(a, 0.25, 0, 1), Ref(c, -1, 0, 1)}
 		if err := e.ShiftAssign(b, interior, terms); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		as, bs := runtime.NewSeqArray(dom), runtime.NewSeqArray(dom)
+		as, bs, cs := runtime.NewSeqArray(dom), runtime.NewSeqArray(dom), runtime.NewSeqArray(dom)
 		as.Fill(fill)
+		cs.Fill(fillC)
 		if err := runtime.SeqShiftAssign(bs, interior, []runtime.SeqTerm{
-			{Src: as, Shift: []int{-1, 0}, Coeff: 0.25}, {Src: as, Shift: []int{1, 0}, Coeff: 0.25},
-			{Src: as, Shift: []int{0, -1}, Coeff: 0.25}, {Src: as, Shift: []int{0, 1}, Coeff: 0.25},
+			{Src: as, Shift: []int{-1, 0}, Coeff: 0.25}, {Src: cs, Shift: []int{1, 0}, Coeff: 2},
+			{Src: as, Shift: []int{1, 0}, Coeff: 0.25}, {Src: as, Shift: []int{0, -1}, Coeff: 0.25},
+			{Src: as, Shift: []int{0, 1}, Coeff: 0.25}, {Src: cs, Shift: []int{0, 1}, Coeff: -1},
 		}); err != nil {
 			t.Fatal(err)
 		}

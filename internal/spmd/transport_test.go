@@ -10,6 +10,7 @@ import (
 	"hpfnt/internal/core"
 	"hpfnt/internal/dist"
 	"hpfnt/internal/index"
+	"hpfnt/internal/inspector"
 	"hpfnt/internal/machine"
 	"hpfnt/internal/proc"
 	"hpfnt/internal/runtime"
@@ -126,7 +127,8 @@ type mpResult struct {
 }
 
 // multiProcRun executes one deterministic program — fill, pipelined
-// schedule replay, remap, reduce, stats, data — on the given engine.
+// shift and indirect schedule replays, remap, reduce, stats, data — on
+// the given engine.
 // In the multi-process test every "process" runs exactly this, which
 // is the SPMD replicated-control contract. It returns (rather than
 // asserts) errors because it runs on non-test goroutines.
@@ -148,6 +150,21 @@ func multiProcRun(e *Engine, am, bm core.ElementMapping, n int) (mpResult, error
 		return out, err
 	}
 	if err := s.ExecuteN(4); err != nil {
+		return out, err
+	}
+	// The indirect form: a gathers from b across the BLOCK/CYCLIC(3)
+	// boundary, so halo pairs span the two processes.
+	var pat inspector.Pattern
+	for k := int32(0); k < int32(n*n); k++ {
+		pat.Writes = append(pat.Writes, k, k)
+		pat.Reads = append(pat.Reads, (k*7+1)%int32(n*n), int32(n*n)-1-k)
+		pat.Coeffs = append(pat.Coeffs, 0.5, -0.25)
+	}
+	ir, err := e.BuildIrregular(a, b, pat)
+	if err != nil {
+		return out, err
+	}
+	if err := ir.ExecuteN(3); err != nil {
 		return out, err
 	}
 	if _, err := e.Remap(a, bm); err != nil {
