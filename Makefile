@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp docs perfbench-test
+.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp docs perfbench-test bench-pairs
 
 check: fmt vet build test docs
 
@@ -138,6 +138,16 @@ bench:
 # root `go test ./...` never compiles it; vet and test it in place.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# A/B pairs of the repository benchmark: perfbench built at REF
+# against the working tree, alternating which runs first, with each
+# side's median and quartiles, the working tree's win share and the
+# median steal_frac per end-to-end metric. Example:
+#   make bench-pairs REF=HEAD~1 WORKLOADS=sweep PAIRS=10
+REF ?= HEAD
+WORKLOADS ?=
+bench-pairs:
+	bash scripts/bench-pairs.sh $(REF) $(WORKLOADS)
 
 # Regenerate the committed perf-trajectory snapshot (best-of-3 over
 # all experiments, the replay speedup, the irregular workloads and the

@@ -401,35 +401,62 @@ func BenchmarkJacobiReplaySPMDTraced(b *testing.B) {
 }
 
 // BenchmarkSpmdScheduleBuild measures the spmd schedule compiler
-// (per-worker plans plus ghost-exchange lists) on the 128² stencil.
+// (per-worker plans plus ghost-exchange lists) on 8 processors: the
+// 4-point stencil over the 128² and 512² (BLOCK,:) interiors, and the
+// first step of the 128² (CYCLIC,:) LU sweep,
+// R(2:N,2:N) = R(2:N,2:N) + A(1:N-1,1:N-1)/16.
 func BenchmarkSpmdScheduleBuild(b *testing.B) {
-	eng, err := engine.New(engine.SPMD, 8, machine.DefaultCost())
-	if err != nil {
-		b.Fatal(err)
+	const np = 8
+	cases := []struct {
+		name   string
+		n      int
+		format dist.Format
+		sweep  bool
+	}{
+		{"stencil128-block", 128, dist.Block{}, false},
+		{"stencil512-block", 512, dist.Block{}, false},
+		{"sweep128-cyclic", 128, dist.Cyclic{K: 1}, true},
 	}
-	defer eng.Close()
-	n := 128
-	am, err := workload.BlockRowMapping(n, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bm, err := workload.BlockRowMapping(n, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	aa, _ := eng.NewArray("A", am)
-	ba, _ := eng.NewArray("B", bm)
-	terms := []engine.Term{
-		engine.Read(aa, 0.25, -1, 0), engine.Read(aa, 0.25, 1, 0),
-		engine.Read(aa, 0.25, 0, -1), engine.Read(aa, 0.25, 0, 1),
-	}
-	interior := index.Standard(2, n-1, 2, n-1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ba.NewSchedule(interior, terms); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			eng, err := engine.New(engine.SPMD, np, machine.DefaultCost())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			n := tc.n
+			sys, err := proc.NewSystem(np)
+			if err != nil {
+				b.Fatal(err)
+			}
+			parr, err := sys.DeclareArray("P", index.Standard(1, np))
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := dist.New(index.Standard(1, n, 1, n), []dist.Format{tc.format, dist.Collapsed{}}, proc.Whole(parr))
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := core.DistMapping{D: d}
+			aa, _ := eng.NewArray("A", m)
+			ba, _ := eng.NewArray("B", m)
+			terms := []engine.Term{
+				engine.Read(aa, 0.25, -1, 0), engine.Read(aa, 0.25, 1, 0),
+				engine.Read(aa, 0.25, 0, -1), engine.Read(aa, 0.25, 0, 1),
+			}
+			region := index.Standard(2, n-1, 2, n-1)
+			if tc.sweep {
+				terms = []engine.Term{engine.Read(ba, 1, 0, 0), engine.Read(aa, 1.0/16, -1, -1)}
+				region = index.Standard(2, n, 2, n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ba.NewSchedule(region, terms); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -17,11 +17,20 @@ import (
 // observable; the fuzz target asserts both backends observe exactly
 // the same.
 type scenario struct {
-	np       int
-	n        int
-	f1, f2   dist.Format
-	shift    [2]int
-	srcRep   bool // use a replicated source term
+	np     int
+	n      int
+	f1, f2 dist.Format
+	shift  [2]int
+	srcRep bool // use a replicated source term
+	// near adds a term at a shift next to shift, so it re-reads most
+	// of the same remote elements (ghost deduplication across terms).
+	near bool
+	// self adds a term whose source is the lhs, at shift.
+	self bool
+	// sub picks the statement's region inside the largest in-bounds
+	// one: per dimension, the low-bound offset and the extent, each
+	// reduced modulo what fits; all zero means the whole region.
+	sub      [4]uint8
 	replayIt int
 	// tkind is the spmd transport the scenario runs on ("inproc",
 	// "shm" or
@@ -106,7 +115,20 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 		return out
 	}
 	a.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*13 - tu[1]*5) })
+	shifts := [][2]int{{0, 0}, sc.shift}
 	terms := []Term{Read(a, 0.5, 0, 0), Read(a, 1, sc.shift[0], sc.shift[1])}
+	if sc.near {
+		nb := [2]int{sc.shift[0], sc.shift[1] + 1}
+		if nb[1] > 2 {
+			nb[1] = sc.shift[1] - 1
+		}
+		shifts = append(shifts, nb)
+		terms = append(terms, Read(a, 0.25, nb[0], nb[1]))
+	}
+	if sc.self {
+		b.Fill(func(tu index.Tuple) float64 { return float64(tu[0]*7 + tu[1]*3) })
+		terms = append(terms, Read(b, -0.5, sc.shift[0], sc.shift[1]))
+	}
 	if sc.srcRep {
 		r, err := eng.NewArray("R", replicatedMapping(t, sys, dom))
 		if err != nil {
@@ -116,22 +138,26 @@ func (sc scenario) run(t *testing.T, kind string) outcome {
 		r.Fill(func(tu index.Tuple) float64 { return float64(tu[0] + 100*tu[1]) })
 		terms = append(terms, Read(r, 2, 0, 0))
 	}
-	lo0, hi0 := 1, sc.n
-	lo1, hi1 := 1, sc.n
-	if sc.shift[0] < 0 {
-		lo0 = 1 - sc.shift[0]
-	} else {
-		hi0 = sc.n - sc.shift[0]
+	// The largest region every shifted reference keeps in bounds.
+	lo, hi := [2]int{1, 1}, [2]int{sc.n, sc.n}
+	for _, sh := range shifts {
+		for d := range lo {
+			lo[d] = max(lo[d], 1-sh[d])
+			hi[d] = min(hi[d], sc.n-sh[d])
+		}
 	}
-	if sc.shift[1] < 0 {
-		lo1 = 1 - sc.shift[1]
-	} else {
-		hi1 = sc.n - sc.shift[1]
-	}
-	if lo0 > hi0 || lo1 > hi1 {
+	if lo[0] > hi[0] || lo[1] > hi[1] {
 		return out
 	}
-	region := index.Standard(lo0, hi0, lo1, hi1)
+	// An arbitrary sub-rectangle of it (the sweep's shrinking K+1:N
+	// corner, a single row, ...).
+	for d := range lo {
+		if off, ext := int(sc.sub[2*d]), int(sc.sub[2*d+1]); off != 0 || ext != 0 {
+			lo[d] += off % (hi[d] - lo[d] + 1)
+			hi[d] = lo[d] + ext%(hi[d]-lo[d]+1)
+		}
+	}
+	region := index.Standard(lo[0], hi[0], lo[1], hi[1])
 	if err := b.Assign(region, terms); err != nil {
 		fail(err)
 	}
@@ -195,17 +221,28 @@ func formatFor(sel, k uint8, n, np int) dist.Format {
 
 // FuzzEngineEquivalence is the differential fuzz target of the spmd
 // engine against the sequential oracle: for random formats, shifts,
-// replicated sources, remaps and transports (inproc channels, shm
-// rings or tcp loopback sockets), both backends must produce
-// identical array values, identical remap counts, identical
-// reduction results and an identical machine.Report.
+// regions, replicated sources, a second term re-reading the first's
+// remote elements, a term reading the lhs itself, remaps and
+// transports (inproc channels, shm rings or tcp loopback sockets),
+// both backends must produce identical array values, identical remap
+// counts, identical reduction results and an identical
+// machine.Report.
 func FuzzEngineEquivalence(f *testing.F) {
-	f.Add(uint8(4), uint8(12), uint8(0), uint8(2), uint8(0), uint8(1), uint8(2), false, uint8(0))
-	f.Add(uint8(3), uint8(9), uint8(2), uint8(4), uint8(3), uint8(3), uint8(3), false, uint8(2))
-	f.Add(uint8(5), uint8(16), uint8(4), uint8(1), uint8(7), uint8(2), uint8(0), true, uint8(1))
-	f.Add(uint8(2), uint8(7), uint8(3), uint8(0), uint8(1), uint8(4), uint8(2), false, uint8(2))
-	f.Add(uint8(6), uint8(10), uint8(1), uint8(4), uint8(9), uint8(2), uint8(2), true, uint8(1))
-	f.Fuzz(func(t *testing.T, npB, nB, sel1, sel2, k, sh0, sh1 uint8, srcRep bool, wireSel uint8) {
+	f.Add(uint8(4), uint8(12), uint8(0), uint8(2), uint8(0), uint8(1), uint8(2), false, uint8(0), false, false, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(9), uint8(2), uint8(4), uint8(3), uint8(3), uint8(3), false, uint8(2), false, false, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(5), uint8(16), uint8(4), uint8(1), uint8(7), uint8(2), uint8(0), true, uint8(1), false, false, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(2), uint8(7), uint8(3), uint8(0), uint8(1), uint8(4), uint8(2), false, uint8(2), false, false, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(6), uint8(10), uint8(1), uint8(4), uint8(9), uint8(2), uint8(2), true, uint8(1), false, false, uint8(0), uint8(0), uint8(0), uint8(0))
+	// The sweep step: (CYCLIC,:), shift (-1,-1), region K+1:N, the lhs
+	// read back.
+	f.Add(uint8(2), uint8(12), uint8(2), uint8(0), uint8(0), uint8(1), uint8(1), false, uint8(0), false, true, uint8(2), uint8(12), uint8(2), uint8(12))
+	// A one-row region.
+	f.Add(uint8(1), uint8(5), uint8(0), uint8(2), uint8(1), uint8(3), uint8(2), false, uint8(1), false, false, uint8(3), uint8(0), uint8(0), uint8(0))
+	// Two terms reading the same ghost row at neighbouring shifts.
+	f.Add(uint8(2), uint8(8), uint8(0), uint8(2), uint8(0), uint8(1), uint8(2), false, uint8(2), true, false, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(10), uint8(2), uint8(3), uint8(2), uint8(3), uint8(1), false, uint8(0), true, true, uint8(1), uint8(5), uint8(0), uint8(7))
+	f.Add(uint8(0), uint8(15), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), true, uint8(1), true, false, uint8(1), uint8(3), uint8(2), uint8(9))
+	f.Fuzz(func(t *testing.T, npB, nB, sel1, sel2, k, sh0, sh1 uint8, srcRep bool, wireSel uint8, near, self bool, s0, s1, s2, s3 uint8) {
 		np := int(npB%7) + 2
 		n := int(nB%20) + 4
 		wires := Transports()
@@ -217,6 +254,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 			f2:       formatFor(sel2, k+1, n, np),
 			shift:    [2]int{int(sh0%5) - 2, int(sh1%5) - 2},
 			srcRep:   srcRep,
+			near:     near,
+			self:     self,
+			sub:      [4]uint8{s0, s1, s2, s3},
 			replayIt: 2,
 			tkind:    tkind,
 		}

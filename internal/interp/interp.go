@@ -24,7 +24,7 @@ package interp
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,8 +75,17 @@ type Interp struct {
 	out    strings.Builder
 	arrays map[string]*hpf.DistArray
 	order  []string
-	scheds map[string]*hpf.Schedule
+	scheds map[string]cached
 	steps  int
+}
+
+// cached is one schedule-cache entry. An irregular statement's key
+// holds its sections exactly but only hashes its indirection vectors,
+// so the entry keeps private copies of the vectors and a hit must
+// match them exactly.
+type cached struct {
+	s          *hpf.Schedule
+	wvec, rvec []int
 }
 
 // New creates an interpreter over prog with default resource bounds.
@@ -94,7 +103,7 @@ func NewWith(prog *hpf.Program, opts Options) *Interp {
 		prog:   prog,
 		opts:   opts,
 		arrays: map[string]*hpf.DistArray{},
-		scheds: map[string]*hpf.Schedule{},
+		scheds: map[string]cached{},
 	}
 }
 
@@ -221,7 +230,7 @@ func (ip *Interp) execDirective(d *dirLine) error {
 // mapping and drops compiled schedules (they are mapping-specific).
 // Arrays deallocated by the directive are dropped from the run.
 func (ip *Interp) remapAll(ln int) error {
-	ip.scheds = map[string]*hpf.Schedule{}
+	ip.scheds = map[string]cached{}
 	keep := ip.order[:0]
 	for _, name := range ip.order {
 		ca, ok := ip.prog.Unit.Array(name)
@@ -255,11 +264,11 @@ type resolved struct {
 	region index.Domain
 	terms  []hpf.AssignTerm
 
-	// rIrregular
-	src    *hpf.DistArray
-	writes []int
-	reads  []int
-	coeffs []float64
+	// rIrregular: the two rank-1 sides (an indirection vector or a
+	// section each), expanded only when the schedule is compiled.
+	src          *hpf.DistArray
+	wside, rside sub
+	coeff        float64
 
 	// rFill
 	fillVal   float64
@@ -602,71 +611,77 @@ func (ip *Interp) resolveIrregular(ln int, lhs *hpf.DistArray, lhsName string, l
 	if len(t.subs) != 1 {
 		return nil, errf(t.ln, "indirection-vector assignment requires a rank-1 right-hand side, %s has rank %d", t.name, len(t.subs))
 	}
-	writes, err := expandSide(ln, lhsName, lhs, lhsSubs[0])
+	nw, err := sideLen(ln, lhsName, lhs, lhsSubs[0])
 	if err != nil {
 		return nil, err
 	}
-	reads, err := expandSide(ln, t.name, src, t.subs[0])
+	nr, err := sideLen(ln, t.name, src, t.subs[0])
 	if err != nil {
 		return nil, err
 	}
-	if len(writes) != len(reads) {
-		return nil, errf(ln, "left-hand side selects %d elements, right-hand side %d", len(writes), len(reads))
+	if nw != nr {
+		return nil, errf(ln, "left-hand side selects %d elements, right-hand side %d", nw, nr)
 	}
-	var coeffs []float64
-	if t.coeff != 1 {
-		coeffs = make([]float64, len(writes))
-		for i := range coeffs {
-			coeffs[i] = t.coeff
-		}
-	}
-	h := fnv.New64a()
-	for _, v := range writes {
-		fmt.Fprintf(h, "%d,", v)
-	}
-	fmt.Fprint(h, ";")
-	for _, v := range reads {
-		fmt.Fprintf(h, "%d,", v)
-	}
-	key := fmt.Sprintf("I|%s|%s|%s|%x", lhsName, t.name,
-		strconv.FormatFloat(t.coeff, 'g', -1, 64), h.Sum64())
+	key := fmt.Sprintf("I|%s|%s|%s|%s|%s", lhsName, t.name,
+		strconv.FormatFloat(t.coeff, 'g', -1, 64), sideKey(lhsSubs[0]), sideKey(t.subs[0]))
 	return &resolved{
-		kind:   rIrregular,
-		lhs:    lhs,
-		src:    src,
-		writes: writes,
-		reads:  reads,
-		coeffs: coeffs,
-		key:    key,
+		kind:  rIrregular,
+		lhs:   lhs,
+		src:   src,
+		wside: lhsSubs[0],
+		rside: t.subs[0],
+		coeff: t.coeff,
+		key:   key,
 	}, nil
 }
 
-// expandSide turns one rank-1 side of an irregular statement into its
-// global index list: either the indirection vector itself or the
-// expansion of the section triplet. (Index bounds are validated by
+// sideKey is one irregular side's part of the schedule-cache key: a
+// section's triplet, or a length and hash of an indirection vector
+// (so a hit must also compare the vector itself).
+func sideKey(s sub) string {
+	if s.vec == nil {
+		return s.tr.String()
+	}
+	h := uint64(14695981039346656037) // FNV-1a, one whole integer per step
+	for _, v := range s.vec {
+		h = (h ^ uint64(v)) * 1099511628211
+	}
+	return fmt.Sprintf("V%d#%x", len(s.vec), h)
+}
+
+// sideLen checks one rank-1 side of an irregular statement and returns
+// how many elements it selects. (Index bounds are validated by
 // hpf.NewIrregular.)
-func expandSide(ln int, name string, arr *hpf.DistArray, s sub) ([]int, error) {
+func sideLen(ln int, name string, arr *hpf.DistArray, s sub) (int, error) {
 	if s.vec != nil {
-		return s.vec, nil
+		return len(s.vec), nil
 	}
 	if arr.Shape().Rank() != 1 {
-		return nil, errf(ln, "indirection-vector assignment requires rank-1 arrays, %s has rank %d", name, arr.Shape().Rank())
+		return 0, errf(ln, "indirection-vector assignment requires rank-1 arrays, %s has rank %d", name, arr.Shape().Rank())
 	}
-	n := s.tr.Count()
-	out := make([]int, n)
-	for k := 0; k < n; k++ {
+	return s.tr.Count(), nil
+}
+
+// expandSide returns a side's global index list: the indirection
+// vector itself or the expansion of the section triplet.
+func expandSide(s sub) []int {
+	if s.vec != nil {
+		return s.vec
+	}
+	out := make([]int, s.tr.Count())
+	for k := range out {
 		out[k] = s.tr.At(k)
 	}
-	return out, nil
+	return out
 }
 
 // schedule returns the compiled schedule for r, building and caching
 // it on first use. Cached schedules are dropped whenever a directive
 // can have changed a mapping (remapAll).
 func (ip *Interp) schedule(ln int, r *resolved) (*hpf.Schedule, error) {
-	if s, ok := ip.scheds[r.key]; ok {
+	if c, ok := ip.scheds[r.key]; ok && slices.Equal(c.wvec, r.wside.vec) && slices.Equal(c.rvec, r.rside.vec) {
 		cacheHits.Add(1)
-		return s, nil
+		return c.s, nil
 	}
 	cacheMisses.Add(1)
 	var s *hpf.Schedule
@@ -675,12 +690,20 @@ func (ip *Interp) schedule(ln int, r *resolved) (*hpf.Schedule, error) {
 	case rAssign:
 		s, err = r.lhs.NewSchedule(r.region, r.terms...)
 	case rIrregular:
-		s, err = r.lhs.NewIrregular(r.src, r.writes, r.reads, r.coeffs)
+		var coeffs []float64
+		writes := expandSide(r.wside)
+		if r.coeff != 1 {
+			coeffs = make([]float64, len(writes))
+			for i := range coeffs {
+				coeffs[i] = r.coeff
+			}
+		}
+		s, err = r.lhs.NewIrregular(r.src, writes, expandSide(r.rside), coeffs)
 	}
 	if err != nil {
 		return nil, errf(ln, "%v", err)
 	}
-	ip.scheds[r.key] = s
+	ip.scheds[r.key] = cached{s: s, wvec: slices.Clone(r.wside.vec), rvec: slices.Clone(r.rside.vec)}
 	return s, nil
 }
 

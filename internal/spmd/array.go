@@ -3,6 +3,7 @@ package spmd
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"hpfnt/internal/core"
 	"hpfnt/internal/dist"
@@ -33,6 +34,36 @@ type layout struct {
 	repSlot []map[int]int32
 	// stores[p] is worker p's segment (index 1..np).
 	stores []*store
+	// tiles[p] lists worker p's owner tiles in slot order, for the
+	// schedule compiler's tile lowering. It is nil for replicated
+	// layouts and for fine-grained ones (tiles averaging fewer than
+	// minRunElems elements), which compile element by element.
+	tiles [][]slotTile
+}
+
+// slotTile is one owner tile of a single-owner layout with the slot
+// of its first element. Inside the tile slots advance column-major,
+// so element t sits at base + Σ_d (t_d − lo_d)·stride_d with stride_0
+// = 1 and stride_d = stride_{d−1}·(hi_{d−1} − lo_{d−1} + 1).
+type slotTile struct {
+	lo, hi []int
+	base   int32
+}
+
+// strides writes the tile's slot stride per dimension into dst.
+func (t *slotTile) strides(dst []int) {
+	m := 1
+	for d := range t.lo {
+		dst[d] = m
+		m *= t.hi[d] - t.lo[d] + 1
+	}
+}
+
+// tileOf returns worker p's owner tile holding slot.
+func (l *layout) tileOf(p int, slot int32) *slotTile {
+	ts := l.tiles[p]
+	i := sort.Search(len(ts), func(i int) bool { return ts[i].base > slot }) - 1
+	return &ts[i]
 }
 
 // buildLayout derives the local storage layout of a mapping on e: the
@@ -54,12 +85,27 @@ func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
 		l.owners = make([]int32, size)
 		l.slotGrid = make([]int32, size)
 		var ferr error
+		keep := dom.Rank() > 0 && dom.IsStandard() && len(tiles)*minRunElems <= size
+		var bounds []int // every kept tile's lo and hi, one allocation
+		if keep {
+			l.tiles = make([][]slotTile, np+1)
+			bounds = make([]int, 2*dom.Rank()*len(tiles))
+		}
 		for _, tl := range tiles {
 			p := tl.Proc
 			if p < 1 || p > np {
 				return nil, fmt.Errorf("spmd: mapping owner %d out of range 1..%d", p, np)
 			}
 			st := l.stores[p]
+			if keep {
+				r := dom.Rank()
+				lt := slotTile{lo: bounds[:r:r], hi: bounds[r : 2*r : 2*r], base: int32(len(st.offsets))}
+				bounds = bounds[2*r:]
+				for d, tr := range tl.Region.Dims {
+					lt.lo[d], lt.hi[d] = tr.Low, tr.High
+				}
+				l.tiles[p] = append(l.tiles[p], lt)
+			}
 			tl.Region.ForEach(func(t index.Tuple) bool {
 				off, ok := dom.Offset(t)
 				if !ok {

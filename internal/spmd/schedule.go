@@ -2,7 +2,6 @@ package spmd
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"hpfnt/internal/index"
@@ -41,12 +40,15 @@ type cterm struct {
 // Schedule is a compiled statement: per-worker compute plans over
 // local slots, the per-pair ghost exchange, and the per-worker counter
 // deltas. It has two forms behind one executor. The shift form
-// (BuildSchedule, BuildGeneralSchedule) is lhs(region) = Σ terms; the
-// indirect form (BuildIrregular) is the executor half of the
-// inspector–executor technique, lhs(W(k)) = Σ c_k·src(R(k)). Execute
-// replays it; the involved arrays must not be remapped between
-// executions (rebuild after REDISTRIBUTE/REALIGN, as with the
-// sequential runtime's schedules).
+// (BuildSchedule, BuildGeneralSchedule) is lhs(region) = Σ terms,
+// lowered from owner-tile intersections into run segments where it
+// can be and element by element into an indirect segment where it
+// cannot; the indirect form (BuildIrregular) is the executor half of
+// the inspector–executor technique, lhs(W(k)) = Σ c_k·src(R(k)), and
+// is one indirect segment per worker. Execute replays it; the
+// involved arrays must not be remapped between executions (rebuild
+// after REDISTRIBUTE/REALIGN, as with the sequential runtime's
+// schedules).
 type Schedule struct {
 	eng        *Engine
 	plans      []*wplan
@@ -68,27 +70,39 @@ type Schedule struct {
 	gens   []int
 }
 
-// wplan is one worker's share of a schedule. Reads refs[j] >= 0 are
-// local slots of a source segment; refs[j] < 0 encode ghost slot
-// -(refs[j]+1). The compute half has one of two shapes:
+// wplan is one worker's share of a schedule. Its compute half is a
+// list of segments of two kinds, all evaluated before any is stored
+// (simultaneous-assignment semantics):
 //
-//   - shift (writeIx nil): for element i, tmp[i] = Σ_t coeffs[t] ·
-//     ref(i,t) with ref(i,t) read through refs[i*T+t] from srcData[t],
-//     T = len(coeffs);
-//   - indirect: access j adds coeffs[j] · ref(j) into tmp[writeIx[j]],
-//     reading srcData[0].
-//
-// Then lhsData[lhsSlots[i]] = tmp[i] (simultaneous-assignment
-// semantics).
+//   - run segments (runs, shift form only): run i computes n lhs
+//     elements at slots lhs + k·lstr, element k reading term t at
+//     base + k·stride of srcData[t] or of the ghost buffer, as given
+//     by runRefs[i*T+t] with T = len(coeffs). A run evaluates into
+//     tmp[tmp:tmp+n] and is stored afterwards — or, when no source
+//     is the lhs and its lhs slots are contiguous (tmp < 0), straight
+//     into the lhs. The tmp-bound runs fill tmp[:runElems].
+//   - the indirect segment (lhsSlots, refs, writeIx): reads refs[j]
+//     >= 0 are local slots of a source segment, refs[j] < 0 encode
+//     ghost slot -(refs[j]+1). In the shift form (writeIx nil)
+//     element i is Σ_t coeffs[t] · ref(i,t), read through refs[i*T+t]
+//     from srcData[t]; in the indirect form access j adds coeffs[j] ·
+//     ref(j) into element writeIx[j], reading srcData[0]. Element i
+//     lands in tmp[runElems+i] and is stored to lhsData[lhsSlots[i]].
 type wplan struct {
-	lhsData  []float64
+	lhsData []float64
+	srcData [][]float64
+	coeffs  []float64
+
+	runs     []run
+	runRefs  []runRef
+	runElems int
+
 	lhsSlots []int32
-	srcData  [][]float64
-	coeffs   []float64
 	refs     []int32
 	writeIx  []int32
-	ghost    []float64
-	tmp      []float64
+
+	ghost []float64
+	tmp   []float64
 
 	sends []sendPlan
 	recvs []recvPlan
@@ -96,6 +110,20 @@ type wplan struct {
 	load       int
 	localRefs  int
 	remoteRefs int
+}
+
+// run is a run segment: n lhs elements at slots lhs + k·lstr whose
+// values are computed into tmp[tmp : tmp+n], or in place when tmp < 0.
+type run struct {
+	n, lhs, lstr, tmp int32
+}
+
+// runRef is one term's reads in a run segment: slots base + k·stride
+// of the term's source segment, or of the ghost buffer when ghost is
+// set.
+type runRef struct {
+	base, stride int32
+	ghost        bool
 }
 
 // sendPlan gathers this worker's owned values for one destination: n
@@ -148,22 +176,11 @@ func (s *Schedule) link(src int, sp sendPlan, targets []int32) {
 	s.messages++
 }
 
-// finish sizes every worker's ghost and temporary buffers, totals the
-// ghost traffic, captures the remap generations, and marks the
-// statement coalescible when no source is the lhs.
+// finish marks the statement coalescible when no source is the lhs,
+// captures the remap generations, places every run's results (in
+// place when the statement cannot read what it writes), sizes every
+// worker's ghost and temporary buffers and totals the ghost traffic.
 func (s *Schedule) finish() *Schedule {
-	for _, wp := range s.plans {
-		if wp == nil {
-			continue
-		}
-		n := 0
-		for _, rp := range wp.recvs {
-			n += len(rp.targets)
-		}
-		wp.ghost = make([]float64, n)
-		wp.tmp = make([]float64, len(wp.lhsSlots))
-		s.ghostTotal += n
-	}
 	s.constGhost = true
 	for i, a := range s.arrays {
 		s.gens = append(s.gens, a.gen)
@@ -171,39 +188,29 @@ func (s *Schedule) finish() *Schedule {
 			s.constGhost = false // statement overwrites its own input
 		}
 	}
+	for _, wp := range s.plans {
+		if wp == nil {
+			continue
+		}
+		wp.runElems = 0
+		for i := range wp.runs {
+			r := &wp.runs[i]
+			if s.constGhost && r.lstr == 1 {
+				r.tmp = -1
+				continue
+			}
+			r.tmp = int32(wp.runElems)
+			wp.runElems += int(r.n)
+		}
+		n := 0
+		for _, rp := range wp.recvs {
+			n += len(rp.targets)
+		}
+		wp.ghost = make([]float64, n)
+		wp.tmp = make([]float64, wp.runElems+len(wp.lhsSlots))
+		s.ghostTotal += n
+	}
 	return s
-}
-
-// ghostKey dedups remote reads per (source array, element, reader),
-// exactly as the sequential per-statement deduplication does.
-type ghostKey struct {
-	src *Array
-	off int
-	w   int
-}
-
-// exchange accumulates one ordered pair's ghost traffic during
-// compilation, grouped by source array: part i gathers slots[i] of
-// srcs[i] and scatters into targets[i].
-type exchange struct {
-	srcs    []*Array
-	slots   [][]int32
-	targets [][]int32
-}
-
-// add appends one ghost element read from src.
-func (ex *exchange) add(src *Array, slot, target int32) {
-	i := 0
-	for i < len(ex.srcs) && ex.srcs[i] != src {
-		i++
-	}
-	if i == len(ex.srcs) {
-		ex.srcs = append(ex.srcs, src)
-		ex.slots = append(ex.slots, nil)
-		ex.targets = append(ex.targets, nil)
-	}
-	ex.slots[i] = append(ex.slots[i], slot)
-	ex.targets[i] = append(ex.targets[i], target)
 }
 
 // BuildSchedule compiles the shift statement lhs(region) = Σ terms.
@@ -221,7 +228,7 @@ func (e *Engine) BuildSchedule(lhs *Array, region index.Domain, terms []Term) (*
 		}
 		cts[i] = cterm{src: t.Src, coeff: t.Coeff, shift: t.Shift}
 	}
-	return e.compile(lhs, region, cts)
+	return e.compile(lhs, region, cts, true)
 }
 
 // BuildGeneralSchedule compiles a statement with arbitrary per-term
@@ -237,122 +244,7 @@ func (e *Engine) BuildGeneralSchedule(lhs *Array, region index.Domain, terms []G
 		}
 		cts[i] = cterm{src: t.Src, coeff: t.Coeff, mapf: t.Map}
 	}
-	return e.compile(lhs, region, cts)
-}
-
-// compile walks the region once (column-major, like the sequential
-// executor) and partitions the statement into per-worker plans. The
-// local/remote classification, remote deduplication, sender choice
-// (first owner) and load charging mirror the sequential analysis
-// element for element, so the aggregated statistics are identical by
-// construction.
-func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm) (*Schedule, error) {
-	if lhs.eng != e {
-		return nil, fmt.Errorf("spmd: array %s belongs to a different engine", lhs.name)
-	}
-	T := len(terms)
-	srcs := make([]*Array, T)
-	coeffs := make([]float64, T)
-	for ti, tm := range terms {
-		srcs[ti] = tm.src
-		coeffs[ti] = tm.coeff
-	}
-	s := e.newSchedule(lhs, srcs)
-	nGhost := make([]int32, e.np+1)
-	seen := map[ghostKey]int32{}
-	pairEx := map[[2]int]*exchange{}
-	ref := make(index.Tuple, lhs.dom.Rank())
-	var writers []int
-	var ferr error
-	region.ForEach(func(t index.Tuple) bool {
-		loff, ok := lhs.dom.Offset(t)
-		if !ok {
-			ferr = fmt.Errorf("spmd: region index %s outside %s domain %s", t, lhs.name, lhs.dom)
-			return false
-		}
-		writers = lhs.lay.appendOwners(writers[:0], loff)
-		for ti := range terms {
-			tm := &terms[ti]
-			var rt index.Tuple
-			if tm.mapf != nil {
-				rt = tm.mapf(t.Clone())
-			} else {
-				for d := range t {
-					ref[d] = t[d] + tm.shift[d]
-				}
-				rt = ref
-			}
-			roff, ok := tm.src.dom.Offset(rt)
-			if !ok {
-				ferr = fmt.Errorf("spmd: reference %s(%s) out of bounds in assignment to %s(%s)", tm.src.name, rt, lhs.name, t)
-				return false
-			}
-			for _, w := range writers {
-				wp := s.plan(w)
-				if tm.src.lay.ownedBy(roff, w) {
-					wp.localRefs++
-					wp.refs = append(wp.refs, tm.src.lay.slotOf(w, roff))
-					continue
-				}
-				wp.remoteRefs++
-				key := ghostKey{src: tm.src, off: roff, w: w}
-				g, dup := seen[key]
-				if !dup {
-					g = nGhost[w]
-					nGhost[w]++
-					seen[key] = g
-					sdr := tm.src.lay.firstOwner(roff)
-					pr := [2]int{sdr, w}
-					ex := pairEx[pr]
-					if ex == nil {
-						ex = &exchange{}
-						pairEx[pr] = ex
-					}
-					ex.add(tm.src, tm.src.lay.slotOf(sdr, roff), g)
-				}
-				wp.refs = append(wp.refs, -(g + 1))
-			}
-		}
-		for _, w := range writers {
-			wp := s.plan(w)
-			wp.load += T
-			wp.lhsSlots = append(wp.lhsSlots, lhs.lay.slotOf(w, loff))
-		}
-		return true
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	pairs := make([][2]int, 0, len(pairEx))
-	for pr := range pairEx {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	for _, pr := range pairs {
-		ex := pairEx[pr]
-		sp := sendPlan{dst: pr[1], parts: make([]sendPart, len(ex.srcs))}
-		targets := ex.targets[0]
-		for i, src := range ex.srcs {
-			sp.parts[i] = sendPart{slab: src.lay.stores[pr[0]].data, slots: ex.slots[i]}
-			sp.n += len(ex.slots[i])
-			if i > 0 {
-				targets = append(targets, ex.targets[i]...)
-			}
-		}
-		s.link(pr[0], sp, targets)
-	}
-	// Every shift-form worker shares the per-term coefficients.
-	for _, wp := range s.plans {
-		if wp != nil {
-			wp.coeffs = coeffs
-		}
-	}
-	return s.finish(), nil
+	return e.compile(lhs, region, cts, true)
 }
 
 // GhostElements reports the deduplicated ghost traffic per execution.
@@ -459,6 +351,8 @@ func (wp *wplan) step(e *Engine, p int, comm bool, tally *phaseTally) {
 			t0 = now
 		}
 	}
+	wp.computeRuns()
+	tmp := wp.tmp[wp.runElems:]
 	if wp.writeIx == nil {
 		T := len(wp.coeffs)
 		for i := range wp.lhsSlots {
@@ -474,12 +368,10 @@ func (wp *wplan) step(e *Engine, p int, comm bool, tally *phaseTally) {
 				}
 				sum += wp.coeffs[ti] * v
 			}
-			wp.tmp[i] = sum
+			tmp[i] = sum
 		}
 	} else {
-		for i := range wp.tmp {
-			wp.tmp[i] = 0
-		}
+		clear(tmp)
 		src := wp.srcData[0]
 		for j, r := range wp.refs {
 			var v float64
@@ -488,14 +380,67 @@ func (wp *wplan) step(e *Engine, p int, comm bool, tally *phaseTally) {
 			} else {
 				v = wp.ghost[-r-1]
 			}
-			wp.tmp[wp.writeIx[j]] += wp.coeffs[j] * v
+			tmp[wp.writeIx[j]] += wp.coeffs[j] * v
+		}
+	}
+	for i := range wp.runs {
+		r := &wp.runs[i]
+		if r.tmp < 0 {
+			continue // computed in place
+		}
+		vals := wp.tmp[r.tmp : r.tmp+r.n]
+		if r.lstr == 1 {
+			copy(wp.lhsData[r.lhs:], vals)
+			continue
+		}
+		j, st := int(r.lhs), int(r.lstr)
+		for _, v := range vals {
+			wp.lhsData[j] = v
+			j += st
 		}
 	}
 	for i, sl := range wp.lhsSlots {
-		wp.lhsData[sl] = wp.tmp[i]
+		wp.lhsData[sl] = tmp[i]
 	}
 	if tally != nil {
 		tally[machine.PhaseCompute] += int64(time.Since(t0))
+	}
+}
+
+// computeRuns evaluates the run segments, term by term: every element
+// starts at 0 and adds coeff·value per term in term order, the same
+// operation sequence as the indirect loop, so both segment kinds
+// produce bit-identical values.
+func (wp *wplan) computeRuns() {
+	T := len(wp.coeffs)
+	for i := range wp.runs {
+		r := &wp.runs[i]
+		var out []float64
+		if r.tmp < 0 {
+			out = wp.lhsData[r.lhs : r.lhs+r.n]
+		} else {
+			out = wp.tmp[r.tmp : r.tmp+r.n]
+		}
+		clear(out)
+		for ti, rf := range wp.runRefs[i*T : i*T+T] {
+			data := wp.srcData[ti]
+			if rf.ghost {
+				data = wp.ghost
+			}
+			c := wp.coeffs[ti]
+			if rf.stride == 1 {
+				in := data[rf.base : int(rf.base)+len(out)]
+				for k, v := range in {
+					out[k] += c * v
+				}
+				continue
+			}
+			j, st := int(rf.base), int(rf.stride)
+			for k := range out {
+				out[k] += c * data[j]
+				j += st
+			}
+		}
 	}
 }
 
