@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp docs perfbench-test bench-pairs
+.PHONY: check fmt vet build test race race-spmd race-irregular race-tcp race-shm race-recovery node-smoke node-smoke-shm node-recovery node-recovery-shm run-smoke run-smoke-shm obs-smoke obs-recovery-trace trace-analyze-smoke bench bench-snapshot bench-gate speedup amortization overhead corpus fuzz fuzz-engine fuzz-irregular fuzz-interp docs perfbench-test perfbench-smoke bench-pairs
 
 check: fmt vet build test docs
 
@@ -138,6 +138,18 @@ bench:
 # root `go test ./...` never compiles it; vet and test it in place.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# One short run of every benchmark workload, built from this tree: each
+# must end in a result line reporting correct output.
+PERFBENCH_WORKLOADS = stencil gather sweep
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		line=$$(bash perfbench/run.sh --workload $$w --seconds 1 --trace 0 | tail -n 1) || exit 1; \
+		case "$$line" in \
+		*'"correct":true'*) echo "perfbench $$w: correct" ;; \
+		*) echo "perfbench $$w: no correct result line: $$line"; exit 1 ;; \
+		esac; \
+	done
 
 # A/B pairs of the repository benchmark: perfbench built at REF
 # against the working tree, alternating which runs first, with each

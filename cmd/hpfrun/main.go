@@ -203,11 +203,15 @@ func runMember(src, rendezvous string, cfg interp.Config) int {
 		return 1
 	}
 	cfg.Apply(prog)
-	res, err := interp.NewWith(prog, cfg.Limits).Run(src)
+	ip := interp.NewWith(prog, cfg.Limits)
+	res, err := ip.Run(src)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hpfrun[%d]: %v\n", *self, err)
 		return 1
 	}
+	// A collective: every member gathers the values, the leader keeps
+	// them for verification.
+	res.Values = ip.Values()
 	if *self != 0 {
 		return 0
 	}

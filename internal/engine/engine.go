@@ -195,7 +195,8 @@ type Array interface {
 	Mapping() core.ElementMapping
 	Replicated() bool
 	// Fill initializes every element from fn (which must be pure: the
-	// spmd backend evaluates it concurrently, once per replica).
+	// spmd backend evaluates it concurrently, once per replica). The
+	// tuple passed to fn is valid only during the call.
 	Fill(fn func(index.Tuple) float64)
 	At(t index.Tuple) float64
 	Set(t index.Tuple, v float64)

@@ -235,10 +235,16 @@ func (d Domain) Offset(t Tuple) (int, bool) {
 // TupleAt is the inverse of Offset: it returns the tuple at 0-based
 // column-major position off. It panics if off is out of range.
 func (d Domain) TupleAt(off int) Tuple {
+	return d.PutTuple(make(Tuple, len(d.Dims)), off)
+}
+
+// PutTuple writes the tuple at 0-based column-major position off into
+// t, which must have the domain's rank, and returns t: TupleAt
+// without the allocation. It panics if off is out of range.
+func (d Domain) PutTuple(t Tuple, off int) Tuple {
 	if off < 0 || off >= d.Size() {
 		panic(fmt.Sprintf("index: offset %d out of range for domain %s", off, d))
 	}
-	t := make(Tuple, len(d.Dims))
 	for i, tr := range d.Dims {
 		n := tr.Count()
 		t[i] = tr.At(off % n)
@@ -258,23 +264,22 @@ func (d Domain) ForEach(fn func(Tuple) bool) {
 	for i, tr := range d.Dims {
 		t[i] = tr.Low
 	}
-	for {
-		if !fn(t) {
-			return
-		}
-		i := 0
-		for ; i < len(d.Dims); i++ {
-			tr := d.Dims[i]
-			t[i] += tr.Stride
-			if tr.Contains(t[i]) {
-				break
-			}
-			t[i] = tr.Low
-		}
-		if i == len(d.Dims) {
-			return
-		}
+	for fn(t) && d.Step(t) {
 	}
+}
+
+// Step advances t, an index of the domain, to the next one in
+// column-major order, and reports false (leaving t at the first
+// index) when t was the last.
+func (d Domain) Step(t Tuple) bool {
+	for i, tr := range d.Dims {
+		t[i] += tr.Stride
+		if tr.Contains(t[i]) {
+			return true
+		}
+		t[i] = tr.Low
+	}
+	return false
 }
 
 // Tuples materializes every index of the domain in column-major order.

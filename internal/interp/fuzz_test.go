@@ -34,6 +34,10 @@ func FuzzDirectiveProgram(f *testing.F) {
 	f.Add("!HPF$ REDISTRIBUTE A(CYCLIC) TO\n")
 	f.Add("DO K = 1, 10\nEND DO\n")
 	f.Add("FORALL (I = 1:8) A(I) = MOD(I, 0)\n")
+	// Value errors only some elements hit, after a compiled FORALL
+	// right-hand side: MOD by zero and division by zero.
+	f.Add("PROCESSORS P(2)\nREAL A(1:8)\n!HPF$ DISTRIBUTE A(BLOCK) TO P\nFORALL (I = 1:8) A(I) = MOD(I*5, I - 3) + 1\n")
+	f.Add("PROCESSORS P(2)\nPARAMETER K = 5\nREAL A(1:4,1:4)\n!HPF$ DISTRIBUTE A(BLOCK,:) TO P\nFORALL (I = 1:4, J = 1:4) A(I,J) = MAX(I, J) / (J - I) - K\n")
 	f.Add("PROCESSORS P(4)\nREAL A(1000000000000)\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {

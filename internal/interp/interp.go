@@ -60,6 +60,8 @@ type Result struct {
 	// Names lists the materialized arrays in materialization order.
 	Names []string
 	// Values holds each materialized array's dense global values.
+	// Interp.Run leaves it nil; Config.Run fills it from
+	// Interp.Values.
 	Values map[string][]float64
 	// Report is the machine-counter snapshot at program end. Compare
 	// Report.Logical() across backends (phase attribution is
@@ -107,8 +109,9 @@ func NewWith(prog *hpf.Program, opts Options) *Interp {
 	}
 }
 
-// Run parses and executes src, returning the observable result.
-// Calling Run again continues in the same program state.
+// Run parses and executes src, returning the observable result
+// without array values (see Values). Calling Run again continues in
+// the same program state.
 func (ip *Interp) Run(src string) (*Result, error) {
 	nodes, err := parseProgram(src)
 	if err != nil {
@@ -119,16 +122,23 @@ func (ip *Interp) Run(src string) (*Result, error) {
 			return nil, err
 		}
 	}
-	res := &Result{
+	return &Result{
 		Output: ip.out.String(),
 		Names:  append([]string(nil), ip.order...),
-		Values: make(map[string][]float64, len(ip.order)),
 		Report: ip.prog.Stats(),
-	}
+	}, nil
+}
+
+// Values materializes every materialized array's dense global values,
+// keyed by name. On a multi-process wire it is a collective: every
+// process of the job calls it at the same point of the program, and
+// every process returns the identical values.
+func (ip *Interp) Values() map[string][]float64 {
+	vals := make(map[string][]float64, len(ip.order))
 	for _, name := range ip.order {
-		res.Values[name] = ip.arrays[name].Data()
+		vals[name] = ip.arrays[name].Data()
 	}
-	return res, nil
+	return vals
 }
 
 // Check parses src without executing it, reporting the first syntax
@@ -909,33 +919,24 @@ func (ip *Interp) execForall(f *forallStmt) error {
 	if _, err := c.expect(directive.TokAssign); err != nil {
 		return err
 	}
-	rhs := c.toks[c.i:]
-	// Validate the expression once against dummy bindings so malformed
-	// programs fail before the (error-less) Fill callback runs.
-	probe := &cursor{ip: ip, ln: f.ln, toks: rhs, vars: map[string]int{}}
-	for _, v := range vars {
-		probe.vars[v] = 1
-	}
-	if _, err := probe.intExpr(); err != nil {
+	// The right-hand side compiles once, with the index variables
+	// bound by position to the element's tuple. The Fill callback runs
+	// concurrently on the spmd backend; evaluation only reads the
+	// compiled tree. Value-dependent errors (MOD by a zero that only
+	// some elements hit) yield 0 for that element and surface once
+	// after the fill.
+	c.vars = vars
+	rhs, err := c.addInt()
+	if err != nil {
 		return err
 	}
-	if err := probe.requireEnd(); err != nil {
+	if err := c.requireEnd(); err != nil {
 		return err
 	}
-
-	// The Fill callback runs concurrently on the spmd backend; each
-	// invocation gets its own cursor and bindings. Value-dependent
-	// evaluation errors (MOD by a zero that only some elements hit)
-	// yield 0 for that element and surface once after the fill.
 	var once sync.Once
 	var fillErr error
 	arr.Fill(func(t index.Tuple) float64 {
-		env := make(map[string]int, len(vars))
-		for i, v := range vars {
-			env[v] = t[i]
-		}
-		ec := &cursor{ip: ip, ln: f.ln, toks: rhs, vars: env}
-		v, err := ec.intExpr()
+		v, err := rhs.eval(t)
 		if err != nil {
 			once.Do(func() { fillErr = err })
 			return 0

@@ -91,15 +91,22 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Run builds the program, interprets src on it, and closes it. The
-// returned result remains valid after the close.
+// Run builds the program, interprets src on it, materializes the
+// array values, and closes it. The returned result remains valid
+// after the close.
 func (cfg Config) Run(src string) (*Result, error) {
 	prog, err := cfg.NewProgram()
 	if err != nil {
 		return nil, err
 	}
 	defer prog.Close()
-	return NewWith(prog, cfg.Limits).Run(src)
+	ip := NewWith(prog, cfg.Limits)
+	res, err := ip.Run(src)
+	if err != nil {
+		return nil, err
+	}
+	res.Values = ip.Values()
+	return res, nil
 }
 
 // optionsPrefix marks an embedded options line in a program file:

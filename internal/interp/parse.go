@@ -243,11 +243,13 @@ func parseDoHeader(ln int, toks []directive.Token) (*doLoop, error) {
 // advances past it, so out-of-range reads are impossible by
 // construction.
 type cursor struct {
-	ip    *Interp
-	ln    int
-	toks  []directive.Token
-	i     int
-	vars  map[string]int // FORALL index variables, bound per element
+	ip   *Interp
+	ln   int
+	toks []directive.Token
+	i    int
+	// vars names the FORALL index variables an integer expression
+	// may reference, by position.
+	vars  []string
 	depth int
 }
 
@@ -291,94 +293,196 @@ func (c *cursor) requireEnd() error {
 // turning pathological inputs into errors instead of stack overflow.
 const maxExprDepth = 64
 
-// intExpr parses and evaluates an integer expression: +, -, *, /
-// (integer division), parentheses, integer literals, the MOD, MIN and
-// MAX intrinsics, FORALL/DO variables and named parameters.
-func (c *cursor) intExpr() (int, error) { return c.addInt() }
+// intExpr parses and evaluates an integer expression that references
+// no FORALL index variable: it compiles the expression, which folds
+// it to one constant, and evaluates that.
+func (c *cursor) intExpr() (int, error) {
+	e, err := c.addInt()
+	if err != nil {
+		return 0, err
+	}
+	return e.eval(nil)
+}
 
-func (c *cursor) addInt() (int, error) {
+// iop is the operator of a compiled integer-expression node.
+type iop uint8
+
+const (
+	iConst iop = iota // the value val
+	iVar              // FORALL index variable number val
+	iNeg
+	iAdd
+	iSub
+	iMul
+	iDiv
+	iMod
+	iMin
+	iMax
+)
+
+// iexpr is a compiled integer expression: +, -, * and / (integer
+// division), unary signs, the MOD, MIN and MAX intrinsics, integer
+// literals, named parameters and FORALL index variables. Parameters
+// are resolved when the expression is compiled and index variables
+// are bound by position when it is evaluated, so a FORALL evaluates
+// its right-hand side per element without re-reading tokens or
+// allocating.
+type iexpr struct {
+	op   iop
+	val  int
+	args []*iexpr
+	ln   int // the statement line, for value errors
+}
+
+// eval evaluates the expression with FORALL index variable i bound to
+// env[i]. Operands are evaluated left to right, and the first value
+// error (division or MOD by zero) is returned.
+func (e *iexpr) eval(env []int) (int, error) {
+	switch e.op {
+	case iConst:
+		return e.val, nil
+	case iVar:
+		return env[e.val], nil
+	case iNeg:
+		v, err := e.args[0].eval(env)
+		return -v, err
+	}
+	a, err := e.args[0].eval(env)
+	if err != nil {
+		return 0, err
+	}
+	for _, x := range e.args[1:] {
+		b, err := x.eval(env)
+		if err != nil {
+			return 0, err
+		}
+		switch e.op {
+		case iAdd:
+			a += b
+		case iSub:
+			a -= b
+		case iMul:
+			a *= b
+		case iDiv:
+			if b == 0 {
+				return 0, errf(e.ln, "division by zero")
+			}
+			a /= b
+		case iMod:
+			if b == 0 {
+				return 0, errf(e.ln, "MOD by zero")
+			}
+			a %= b
+		case iMin:
+			a = min(a, b)
+		default: // iMax
+			a = max(a, b)
+		}
+	}
+	return a, nil
+}
+
+// node builds an operator node over args. When every operand is a
+// constant it is evaluated at once, so an expression free of index
+// variables compiles to one constant and reports a value error at the
+// same token a left-to-right evaluation would.
+func (c *cursor) node(op iop, args ...*iexpr) (*iexpr, error) {
+	e := &iexpr{op: op, args: args, ln: c.ln}
+	for _, a := range args {
+		if a.op != iConst {
+			return e, nil
+		}
+	}
+	v, err := e.eval(nil)
+	if err != nil {
+		return nil, err
+	}
+	return &iexpr{op: iConst, val: v}, nil
+}
+
+// addInt compiles a sum: mulInt {(+|-) mulInt}.
+func (c *cursor) addInt() (*iexpr, error) {
 	v, err := c.mulInt()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	for {
+		op := iAdd
 		switch {
 		case c.accept(directive.TokPlus):
-			r, err := c.mulInt()
-			if err != nil {
-				return 0, err
-			}
-			v += r
 		case c.accept(directive.TokMinus):
-			r, err := c.mulInt()
-			if err != nil {
-				return 0, err
-			}
-			v -= r
+			op = iSub
 		default:
 			return v, nil
+		}
+		r, err := c.mulInt()
+		if err != nil {
+			return nil, err
+		}
+		if v, err = c.node(op, v, r); err != nil {
+			return nil, err
 		}
 	}
 }
 
-func (c *cursor) mulInt() (int, error) {
+// mulInt compiles a product: unaryInt {(*|/) unaryInt}.
+func (c *cursor) mulInt() (*iexpr, error) {
 	v, err := c.unaryInt()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	for {
+		op := iMul
 		switch {
 		case c.accept(directive.TokStar):
-			r, err := c.unaryInt()
-			if err != nil {
-				return 0, err
-			}
-			v *= r
 		case c.accept(directive.TokSlash):
-			r, err := c.unaryInt()
-			if err != nil {
-				return 0, err
-			}
-			if r == 0 {
-				return 0, errf(c.ln, "division by zero")
-			}
-			v /= r
+			op = iDiv
 		default:
 			return v, nil
+		}
+		r, err := c.unaryInt()
+		if err != nil {
+			return nil, err
+		}
+		if v, err = c.node(op, v, r); err != nil {
+			return nil, err
 		}
 	}
 }
 
-func (c *cursor) unaryInt() (int, error) {
+func (c *cursor) unaryInt() (*iexpr, error) {
 	if c.accept(directive.TokMinus) {
 		v, err := c.unaryInt()
-		return -v, err
+		if err != nil {
+			return nil, err
+		}
+		return c.node(iNeg, v)
 	}
 	c.accept(directive.TokPlus)
 	return c.primInt()
 }
 
-func (c *cursor) primInt() (int, error) {
+func (c *cursor) primInt() (*iexpr, error) {
 	switch {
 	case c.at(directive.TokNumber):
 		t := c.next()
 		v, err := strconv.Atoi(t.Text)
 		if err != nil {
-			return 0, errf(c.ln, "expected an integer, got %q (column %d)", t.Text, t.Pos+1)
+			return nil, errf(c.ln, "expected an integer, got %q (column %d)", t.Text, t.Pos+1)
 		}
-		return v, nil
+		return &iexpr{op: iConst, val: v}, nil
 	case c.accept(directive.TokLParen):
 		c.depth++
 		if c.depth > maxExprDepth {
-			return 0, errf(c.ln, "expression nested deeper than %d", maxExprDepth)
+			return nil, errf(c.ln, "expression nested deeper than %d", maxExprDepth)
 		}
 		v, err := c.addInt()
 		c.depth--
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		if _, err := c.expect(directive.TokRParen); err != nil {
-			return 0, err
+			return nil, err
 		}
 		return v, nil
 	case c.at(directive.TokIdent):
@@ -387,29 +491,29 @@ func (c *cursor) primInt() (int, error) {
 		case "MOD", "MIN", "MAX":
 			return c.intrinsicInt(t.Text)
 		}
-		if c.vars != nil {
-			if v, ok := c.vars[t.Text]; ok {
-				return v, nil
+		for i, name := range c.vars {
+			if name == t.Text {
+				return &iexpr{op: iVar, val: i}, nil
 			}
 		}
 		if v, ok := c.ip.param(t.Text); ok {
-			return v, nil
+			return &iexpr{op: iConst, val: v}, nil
 		}
-		return 0, errf(c.ln, "unknown identifier %q in expression (not a parameter or loop variable; column %d)", t.Text, t.Pos+1)
+		return nil, errf(c.ln, "unknown identifier %q in expression (not a parameter or loop variable; column %d)", t.Text, t.Pos+1)
 	default:
-		return 0, errf(c.ln, "expected an expression, found %s %q (column %d)", c.peek().Kind, c.peek().Text, c.peek().Pos+1)
+		return nil, errf(c.ln, "expected an expression, found %s %q (column %d)", c.peek().Kind, c.peek().Text, c.peek().Pos+1)
 	}
 }
 
-func (c *cursor) intrinsicInt(name string) (int, error) {
+func (c *cursor) intrinsicInt(name string) (*iexpr, error) {
 	if _, err := c.expect(directive.TokLParen); err != nil {
-		return 0, err
+		return nil, err
 	}
-	var args []int
+	var args []*iexpr
 	for {
 		v, err := c.addInt()
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		args = append(args, v)
 		if !c.accept(directive.TokComma) {
@@ -417,35 +521,20 @@ func (c *cursor) intrinsicInt(name string) (int, error) {
 		}
 	}
 	if _, err := c.expect(directive.TokRParen); err != nil {
-		return 0, err
+		return nil, err
 	}
 	if len(args) < 2 {
-		return 0, errf(c.ln, "%s requires at least two arguments", name)
+		return nil, errf(c.ln, "%s requires at least two arguments", name)
 	}
 	switch name {
 	case "MOD":
 		if len(args) != 2 {
-			return 0, errf(c.ln, "MOD takes exactly two arguments")
+			return nil, errf(c.ln, "MOD takes exactly two arguments")
 		}
-		if args[1] == 0 {
-			return 0, errf(c.ln, "MOD by zero")
-		}
-		return args[0] % args[1], nil
+		return c.node(iMod, args...)
 	case "MIN":
-		best := args[0]
-		for _, v := range args[1:] {
-			if v < best {
-				best = v
-			}
-		}
-		return best, nil
-	default: // MAX
-		best := args[0]
-		for _, v := range args[1:] {
-			if v > best {
-				best = v
-			}
-		}
-		return best, nil
+		return c.node(iMin, args...)
+	default:
+		return c.node(iMax, args...)
 	}
 }

@@ -91,6 +91,16 @@ func buildLayout(e *Engine, m core.ElementMapping) (*layout, error) {
 			l.tiles = make([][]slotTile, np+1)
 			bounds = make([]int, 2*dom.Rank()*len(tiles))
 		}
+		// Size every segment's offset list up front.
+		counts := make([]int, np+1)
+		for _, tl := range tiles {
+			if tl.Proc >= 1 && tl.Proc <= np {
+				counts[tl.Proc] += tl.Region.Size()
+			}
+		}
+		for p := 1; p <= np; p++ {
+			l.stores[p].offsets = make([]int32, 0, counts[p])
+		}
 		for _, tl := range tiles {
 			p := tl.Proc
 			if p < 1 || p > np {
@@ -274,16 +284,27 @@ func (a *Array) Set(t index.Tuple, v float64) {
 // Fill initializes every element from fn, each worker filling its own
 // segment concurrently. fn must be pure: replicated elements are
 // computed once per copy, and in a multi-process job every process
-// fills only the segments it hosts. A panic in fn fails the engine;
-// the error surfaces from the next dispatched operation.
+// fills only the segments it hosts. Each worker reuses one tuple for
+// all its elements, so fn must not retain it. A panic in fn fails the
+// engine; the error surfaces from the next dispatched operation.
 func (a *Array) Fill(fn func(t index.Tuple) float64) {
 	lay, dom := a.lay, a.dom
 	// The error is sticky on the engine; Fill itself has no error
 	// return in the backend interface.
 	_ = a.eng.run(func(p int) {
 		st := lay.stores[p]
+		t := make(index.Tuple, dom.Rank())
+		next := -1 // the offset after t's
 		for k, off := range st.offsets {
-			st.data[k] = fn(dom.TupleAt(int(off)))
+			// Slots run column-major within each owner tile: step the
+			// tuple along a run, recompute it only across a jump.
+			if int(off) != next {
+				dom.PutTuple(t, int(off))
+			} else {
+				dom.Step(t)
+			}
+			next = int(off) + 1
+			st.data[k] = fn(t)
 		}
 	})
 }

@@ -27,9 +27,10 @@ func (e *Engine) Checkpoint(dir string, epoch int, arrays []*Array) error {
 		return err
 	}
 	defer e.chargeCheckpoint(obs.Now())()
-	span := obs.BeginSpan("checkpoint", fmt.Sprintf("checkpoint@%d", epoch), 0)
-	if span != nil {
-		defer span()
+	if obs.TraceEnabled() {
+		if span := obs.BeginSpan("checkpoint", fmt.Sprintf("checkpoint@%d", epoch), 0); span != nil {
+			defer span()
+		}
 	}
 	ed := ckpt.EpochDir(dir, epoch)
 	var localErr error

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"hpfnt/internal/index"
 )
@@ -32,6 +33,7 @@ func (e *Engine) compile(lhs *Array, region index.Domain, terms []cterm, tiles b
 		return nil, fmt.Errorf("spmd: array %s belongs to a different engine", lhs.name)
 	}
 	c := newCompiler(e, lhs, region.Rank(), terms)
+	defer c.release()
 	if !tiles || !c.lowerTiles(region) {
 		if err := c.walk(region); err != nil {
 			return nil, err
@@ -88,11 +90,58 @@ type compiler struct {
 	steps  []int
 }
 
-// ghostTab is one source array's dense ghost-slot table.
+// ghostTab is one source array's dense ghost-slot table, borrowed
+// from the engine's tablePool; touched lists the entries set for the
+// current reader.
 type ghostTab struct {
 	src     *Array
 	slot    []int32
 	touched []int32
+}
+
+// reset zeroes the entries set for the current reader.
+func (tb *ghostTab) reset() {
+	for _, off := range tb.touched {
+		tb.slot[off] = 0
+	}
+	tb.touched = tb.touched[:0]
+}
+
+// tablePool is an engine's free list of dense ghost tables, all zero
+// while pooled: a compile resets the entries it set before returning a
+// table, so later compiles reuse it instead of allocating one table
+// per source array. The mutex makes it safe for concurrent compiles.
+type tablePool struct {
+	mu   sync.Mutex
+	free [][]int32
+}
+
+// get returns a zeroed table of n entries: the smallest pooled one
+// large enough, or a new one.
+func (tp *tablePool) get(n int) []int32 {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	best := -1
+	for i, t := range tp.free {
+		if cap(t) >= n && (best < 0 || cap(t) < cap(tp.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]int32, n)
+	}
+	t := tp.free[best]
+	last := len(tp.free) - 1
+	tp.free[best], tp.free[last] = tp.free[last], nil
+	tp.free = tp.free[:last]
+	return t[:n]
+}
+
+// put returns a zeroed table to the pool.
+func (tp *tablePool) put(t []int32) {
+	tp.mu.Lock()
+	tp.free = append(tp.free, t)
+	tp.mu.Unlock()
 }
 
 // pairExchange is one ordered pair's filed message: the sender's
@@ -170,13 +219,22 @@ func (c *compiler) setReader(w int) {
 	}
 	c.fileReader()
 	for i := range c.tabs {
-		tb := &c.tabs[i]
-		for _, off := range tb.touched {
-			tb.slot[off] = 0
-		}
-		tb.touched = tb.touched[:0]
+		c.tabs[i].reset()
 	}
 	c.reader, c.nGhost = w, 0
+}
+
+// release resets the ghost tables and returns them to the engine's
+// pool.
+func (c *compiler) release() {
+	for i := range c.tabs {
+		tb := &c.tabs[i]
+		if tb.slot != nil {
+			tb.reset()
+			c.s.eng.tables.put(tb.slot)
+			tb.slot = nil
+		}
+	}
 }
 
 // fileReader files the current reader's scratch: its run segments
@@ -221,11 +279,11 @@ func (c *compiler) ghost(tb *ghostTab, roff int) (g int32, fresh bool) {
 	return g, true
 }
 
-// table returns term t's ghost table, allocating it on first use.
+// table returns term t's ghost table, borrowing it on first use.
 func (c *compiler) table(t int) *ghostTab {
 	tb := &c.tabs[c.tabOf[t]]
 	if tb.slot == nil {
-		tb.slot = make([]int32, tb.src.dom.Size())
+		tb.slot = c.s.eng.tables.get(tb.src.dom.Size())
 	}
 	return tb
 }

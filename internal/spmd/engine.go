@@ -133,6 +133,9 @@ type Engine struct {
 	localSet []bool
 	// workers[p-1] is rank p's command channel (nil for remote ranks).
 	workers []chan func(p int)
+	// tables holds the schedule compiler's dense ghost tables between
+	// compiles.
+	tables tablePool
 
 	startOnce sync.Once
 	closeOnce sync.Once

@@ -76,7 +76,10 @@ func (e *Engine) Reduce(a *Array, op runtime.ReduceOp) (float64, error) {
 	}
 	var result float64
 	timing := obs.TimingEnabled()
-	span := obs.BeginSpan("reduce", fmt.Sprintf("reduce %s", a.name), 0)
+	var span func()
+	if obs.TraceEnabled() {
+		span = obs.BeginSpan("reduce", fmt.Sprintf("reduce %s", a.name), 0)
+	}
 	err := e.run(func(p int) {
 		sl := slots[p]
 		if len(sl) == 0 {

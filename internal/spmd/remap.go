@@ -104,7 +104,10 @@ func (e *Engine) Remap(a *Array, newMap core.ElementMapping) (int, error) {
 		rp := planOf(pr[1])
 		rp.recvs = append(rp.recvs, rrecv{src: pr[0], newSlots: pl.newSlots})
 	}
-	span := obs.BeginSpan("remap", fmt.Sprintf("remap %s", a.name), 0)
+	var span func()
+	if obs.TraceEnabled() {
+		span = obs.BeginSpan("remap", fmt.Sprintf("remap %s", a.name), 0)
+	}
 	oldLay := a.lay
 	err = e.run(func(p int) {
 		oldData := oldLay.stores[p].data

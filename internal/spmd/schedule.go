@@ -114,8 +114,11 @@ type wplan struct {
 
 // run is a run segment: n lhs elements at slots lhs + k·lstr whose
 // values are computed into tmp[tmp : tmp+n], or in place when tmp < 0.
+// unit marks a run whose terms all read unit-stride slots; it is
+// computed by the fused kernel.
 type run struct {
 	n, lhs, lstr, tmp int32
+	unit              bool
 }
 
 // runRef is one term's reads in a run segment: slots base + k·stride
@@ -188,6 +191,7 @@ func (s *Schedule) finish() *Schedule {
 			s.constGhost = false // statement overwrites its own input
 		}
 	}
+	T := len(s.arrays) - 1
 	for _, wp := range s.plans {
 		if wp == nil {
 			continue
@@ -195,6 +199,10 @@ func (s *Schedule) finish() *Schedule {
 		wp.runElems = 0
 		for i := range wp.runs {
 			r := &wp.runs[i]
+			r.unit = true
+			for _, rf := range wp.runRefs[i*T : i*T+T] {
+				r.unit = r.unit && rf.stride == 1
+			}
 			if s.constGhost && r.lstr == 1 {
 				r.tmp = -1
 				continue
@@ -206,8 +214,9 @@ func (s *Schedule) finish() *Schedule {
 		for _, rp := range wp.recvs {
 			n += len(rp.targets)
 		}
-		wp.ghost = make([]float64, n)
-		wp.tmp = make([]float64, wp.runElems+len(wp.lhsSlots))
+		// One allocation holds the ghost buffer and the temporary.
+		buf := make([]float64, n+wp.runElems+len(wp.lhsSlots))
+		wp.ghost, wp.tmp = buf[:n:n], buf[n:]
 		s.ghostTotal += n
 	}
 	return s
@@ -271,8 +280,12 @@ func (s *Schedule) ExecuteN(iters int) error {
 		}
 	}
 	e := s.eng
-	timing := obs.TimingEnabled()
-	span := obs.BeginSpan("epoch", fmt.Sprintf("execute x%d", iters), 0)
+	timing, tracing := obs.TimingEnabled(), obs.TraceEnabled()
+	// Span names are built only when a recorder is installed.
+	var span func()
+	if tracing {
+		span = obs.BeginSpan("epoch", fmt.Sprintf("execute x%d", iters), 0)
+	}
 	err := e.run(func(p int) {
 		wp := s.plans[p]
 		if wp == nil {
@@ -280,7 +293,10 @@ func (s *Schedule) ExecuteN(iters int) error {
 		}
 		// A per-worker epoch span: the skew analysis compares these
 		// lanes to find the straggler.
-		wspan := obs.BeginSpan("worker", fmt.Sprintf("rank %d x%d", p, iters), p)
+		var wspan func()
+		if tracing {
+			wspan = obs.BeginSpan("worker", fmt.Sprintf("rank %d x%d", p, iters), p)
+		}
 		var tally *phaseTally
 		if timing {
 			tally = new(phaseTally)
@@ -407,10 +423,12 @@ func (wp *wplan) step(e *Engine, p int, comm bool, tally *phaseTally) {
 	}
 }
 
-// computeRuns evaluates the run segments, term by term: every element
-// starts at 0 and adds coeff·value per term in term order, the same
-// operation sequence as the indirect loop, so both segment kinds
-// produce bit-identical values.
+// computeRuns evaluates the run segments. Every element starts at 0
+// and adds coeff·value per term in term order, the same operation
+// sequence as the indirect loop, so both segment kinds produce
+// bit-identical values. A unit-stride run goes through the fused
+// kernel, one pass per group of up to four terms; a strided one adds
+// term by term.
 func (wp *wplan) computeRuns() {
 	T := len(wp.coeffs)
 	for i := range wp.runs {
@@ -421,25 +439,94 @@ func (wp *wplan) computeRuns() {
 		} else {
 			out = wp.tmp[r.tmp : r.tmp+r.n]
 		}
+		refs := wp.runRefs[i*T : i*T+T]
+		if r.unit {
+			for g := 0; g < T; g += 4 {
+				wp.fuse(out, refs[g:min(g+4, T)], g)
+			}
+			continue
+		}
 		clear(out)
-		for ti, rf := range wp.runRefs[i*T : i*T+T] {
+		for ti, rf := range refs {
 			data := wp.srcData[ti]
 			if rf.ghost {
 				data = wp.ghost
 			}
 			c := wp.coeffs[ti]
-			if rf.stride == 1 {
-				in := data[rf.base : int(rf.base)+len(out)]
-				for k, v := range in {
-					out[k] += c * v
-				}
-				continue
-			}
 			j, st := int(rf.base), int(rf.stride)
 			for k := range out {
 				out[k] += c * data[j]
 				j += st
 			}
+		}
+	}
+}
+
+// fuse adds terms t0 … t0+len(refs)−1 of a unit-stride run into out in
+// one pass. Each element's sum starts at 0 for the first group (t0 =
+// 0) and at the partial sum already in out for a later one, then adds
+// c·v term by term. The inputs are sliced to the run length, so the
+// loops carry no bounds checks.
+func (wp *wplan) fuse(out []float64, refs []runRef, t0 int) {
+	n := len(out)
+	var in [4][]float64
+	for t, rf := range refs {
+		data := wp.srcData[t0+t]
+		if rf.ghost {
+			data = wp.ghost
+		}
+		in[t] = data[rf.base : int(rf.base)+n]
+	}
+	c := wp.coeffs[t0 : t0+len(refs)]
+	acc := t0 > 0
+	switch len(refs) {
+	case 1:
+		a, ca := in[0][:n], c[0]
+		for k := range out {
+			s := 0.0
+			if acc {
+				s = out[k]
+			}
+			s += ca * a[k]
+			out[k] = s
+		}
+	case 2:
+		a, b, ca, cb := in[0][:n], in[1][:n], c[0], c[1]
+		for k := range out {
+			s := 0.0
+			if acc {
+				s = out[k]
+			}
+			s += ca * a[k]
+			s += cb * b[k]
+			out[k] = s
+		}
+	case 3:
+		a, b, d := in[0][:n], in[1][:n], in[2][:n]
+		ca, cb, cd := c[0], c[1], c[2]
+		for k := range out {
+			s := 0.0
+			if acc {
+				s = out[k]
+			}
+			s += ca * a[k]
+			s += cb * b[k]
+			s += cd * d[k]
+			out[k] = s
+		}
+	default:
+		a, b, d, f := in[0][:n], in[1][:n], in[2][:n], in[3][:n]
+		ca, cb, cd, cf := c[0], c[1], c[2], c[3]
+		for k := range out {
+			s := 0.0
+			if acc {
+				s = out[k]
+			}
+			s += ca * a[k]
+			s += cb * b[k]
+			s += cd * d[k]
+			s += cf * f[k]
+			out[k] = s
 		}
 	}
 }
